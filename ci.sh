@@ -89,6 +89,29 @@ echo "==> determinism suite in release (full --threads {1,2,4,8} digest matrix)"
 # wall-clock; release runs the whole matrix in seconds.
 cargo test -q --release --test determinism -- --include-ignored
 
+echo "==> perfbench: benchmark-owned tests"
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench: seed-1 run digests match the recorded baseline"
+# Each op folds its simulated results into the run digest, so a speed-only
+# change must reproduce the recorded seed-1 digest of every scored workload
+# bit for bit. A drift means simulated output changed, not host speed.
+for w in $(python3 -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+    got=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 1 --trace 0 | grep -o 'digest=[0-9a-f]*')
+    want=$(python3 - "$w" <<'EOF'
+import json, re, sys
+runs = json.load(open(f"perfbench/baseline/{sys.argv[1]}.json"))["untraced"]
+print(next(re.search(r"digest=[0-9a-f]+", r["summary"]).group(0) for r in runs if r["seed"] == 1))
+EOF
+)
+    if [ "$got" != "$want" ]; then
+        echo "perfbench $w seed 1: $got, baseline $want" >&2
+        exit 1
+    fi
+    echo "    $w $got"
+done
+
 echo "==> smoke: cargo bench -p bench --bench pipeline_throughput"
 # Keeps the bench compiling and its uncontended/contended split honest;
 # the recorded baseline lives in results/pipeline_throughput.json.

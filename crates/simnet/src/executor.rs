@@ -22,10 +22,11 @@
 //! * timer slots live in a second generational slab instead of per-sleep
 //!   `Rc<RefCell<_>>` allocations; a dropped [`Sleep`] cancels **lazily** —
 //!   the slot is reclaimed when its heap entry pops;
-//! * all timers due at the same instant fire as **one batch**, so the ready
-//!   queue is drained once per simulated instant rather than once per
-//!   timer, and the wakers they release are staged in a reusable scratch
-//!   buffer.
+//! * timers fire **one at a time**: each pop consumes exactly one heap
+//!   entry and wakes its sleeper directly, and the ready queue is drained
+//!   to exhaustion before the next pop — so timers tied at one instant
+//!   still run in `(deadline, sequence)` order, each continuation
+//!   finishing before the next timer fires.
 //!
 //! Event/poll/wake counters for all of the above are exposed through
 //! [`Sim::stats`].

@@ -19,6 +19,7 @@ use std::pin::Pin;
 use std::rc::{Rc, Weak};
 use std::task::{Context, Poll, Waker};
 
+use crate::calendar::Calendar;
 use crate::executor::Sim;
 use crate::memo::{MemoKey, MEMO_CAPACITY};
 use crate::time::{SimDuration, SimTime};
@@ -28,10 +29,10 @@ use crate::units::{ByteRate, Bytes};
 struct PipeState {
     rate: ByteRate,
     per_transfer_overhead: SimDuration,
-    /// Reserved busy intervals, keyed by start time (ns → end ns). Kept
-    /// sparse: intervals entirely in the past are pruned on every reserve,
-    /// and exactly-abutting intervals are merged on insert.
-    intervals: RefCell<BTreeMap<u64, u64>>,
+    /// Reserved busy intervals in nanoseconds, pruned of the past on every
+    /// reserve; see [`Calendar`] for the flat layout, the merge-on-insert
+    /// rule and when the pruned prefix is compacted.
+    calendar: RefCell<Calendar>,
     busy: Cell<SimDuration>,
     transfers: Cell<u64>,
     bytes: Cell<u64>,
@@ -49,66 +50,6 @@ pub struct Pipe {
     state: Rc<PipeState>,
 }
 
-/// Drop calendar entries that end at or before `now_ns`. Intervals are
-/// disjoint, so starts and ends are both sorted: the past entries form a
-/// prefix, removable in one `split_off` instead of per-entry deletes.
-fn prune_past(iv: &mut BTreeMap<u64, u64>, now_ns: u64) {
-    match iv.iter().find(|&(_, &en)| en > now_ns).map(|(&st, _)| st) {
-        Some(first_live) => {
-            if iv.first_key_value().is_some_and(|(&st, _)| st < first_live) {
-                *iv = iv.split_off(&first_live);
-            }
-        }
-        None => iv.clear(),
-    }
-}
-
-/// First-fit scan: earliest `t >= earliest_ns` such that `[t, t+dur)` does
-/// not overlap any calendar interval. `dur` must be nonzero.
-fn first_fit(iv: &BTreeMap<u64, u64>, earliest_ns: u64, dur: u64) -> u64 {
-    let mut t = earliest_ns;
-    // Every interval ending at or before `t` is a no-op for first-fit.
-    // Seek past that prefix in O(log n); the only candidate straddling `t`
-    // is the last interval starting at or before it.
-    let scan_from = iv
-        .range(..=t)
-        .next_back()
-        .map_or(0, |(&st, &en)| if en > t { st } else { st + 1 });
-    for (&st, &en) in iv.range(scan_from..) {
-        if en <= t {
-            continue;
-        }
-        if t + dur <= st {
-            break;
-        }
-        t = t.max(en);
-    }
-    t
-}
-
-/// Insert `[st, en)` into the calendar, merging with exactly-touching
-/// neighbours. The union of busy time is unchanged (so placement stays
-/// identical), but FIFO queue-behind chains collapse to a single entry
-/// instead of growing the calendar — and the first-fit scan skips a whole
-/// chain in one step.
-fn insert_merged(iv: &mut BTreeMap<u64, u64>, st: u64, en: u64) {
-    let mut merged_st = st;
-    let mut merged_en = en;
-    if let Some((&pst, &pen)) = iv.range(..=merged_st).next_back() {
-        if pen == merged_st {
-            iv.remove(&pst);
-            merged_st = pst;
-        }
-    }
-    if let Some((&sst, &sen)) = iv.range(merged_en..).next() {
-        if sst == merged_en {
-            iv.remove(&sst);
-            merged_en = sen;
-        }
-    }
-    iv.insert(merged_st, merged_en);
-}
-
 impl Pipe {
     /// Create a pipe with the given bandwidth and a fixed per-transfer
     /// overhead charged before the serialization time.
@@ -119,7 +60,7 @@ impl Pipe {
             state: Rc::new(PipeState {
                 rate,
                 per_transfer_overhead,
-                intervals: RefCell::new(BTreeMap::new()),
+                calendar: RefCell::new(Calendar::default()),
                 busy: Cell::new(SimDuration::ZERO),
                 transfers: Cell::new(0),
                 bytes: Cell::new(0),
@@ -232,15 +173,12 @@ impl Pipe {
         // us. (The demoted speculation's continuation tasks re-enter here,
         // but only after the registration below has been cleared.)
         self.demote_speculation();
-        let now_ns = self.sim.now().as_nanos();
-        let mut iv = self.state.intervals.borrow_mut();
-        prune_past(&mut iv, now_ns);
-        let dur = service.as_nanos().max(1);
-        let t = first_fit(&iv, earliest.as_nanos(), dur);
-        insert_merged(&mut iv, t, t + dur);
-        self.sim.note_calendar_len(iv.len() as u64);
+        let mut cal = self.state.calendar.borrow_mut();
+        cal.prune(self.sim.now().as_nanos());
+        let (st, en) = cal.reserve(earliest.as_nanos(), service.as_nanos().max(1));
+        self.sim.note_calendar_len(cal.len() as u64);
         self.state.busy.set(self.state.busy.get() + service);
-        (SimTime::from_nanos(t), SimTime::from_nanos(t + dur))
+        (SimTime::from_nanos(st), SimTime::from_nanos(en))
     }
 
     /// Transfer `bytes` through the pipe: reserves capacity now (FIFO behind
@@ -258,10 +196,10 @@ impl Pipe {
     pub fn busy_until(&self) -> SimTime {
         self.sync_speculation_reads();
         self.state
-            .intervals
+            .calendar
             .borrow()
-            .last_key_value()
-            .map_or(SimTime::ZERO, |(_, &en)| SimTime::from_nanos(en))
+            .last_end()
+            .map_or(SimTime::ZERO, SimTime::from_nanos)
             .max(self.sim.now())
     }
 
@@ -708,8 +646,8 @@ impl Pipeline {
             }
             // Idle over the whole horizon: any live reservation could
             // overlap ours, so require the calendar to be entirely past.
-            let iv = st.pipe.state.intervals.borrow();
-            if iv.last_key_value().is_some_and(|(_, &en)| en > now_ns) {
+            let cal = st.pipe.state.calendar.borrow();
+            if cal.last_end().is_some_and(|en| en > now_ns) {
                 return None;
             }
         }
@@ -869,7 +807,7 @@ struct PlanOut {
 /// summary cached at one instant replays bit-identically at any other.
 fn compute_plan(stages: &[Stage], metas: &[ChunkMeta], now: SimTime) -> Option<PlanOut> {
     let nstages = stages.len();
-    let mut vcal: Vec<Vec<(u64, u64)>> = vec![Vec::new(); nstages];
+    let mut vcal: Vec<Calendar> = vec![Calendar::default(); nstages];
     // Last reservation wall per stage: insertion order into a calendar
     // must match the walk's wall-clock order, so walls must strictly
     // increase chunk-over-chunk on every stage.
@@ -887,7 +825,7 @@ fn compute_plan(stages: &[Stage], metas: &[ChunkMeta], now: SimTime) -> Option<P
             return None;
         }
         let dur0 = stage0.pipe.bulk_service(meta.cwire, meta.csegs);
-        let (s0, e0) = vreserve(&mut vcal[0], w_main.as_nanos(), dur0.as_nanos().max(1));
+        let (s0, e0) = vcal[0].reserve(w_main.as_nanos(), dur0.as_nanos().max(1));
         last_wall[0] = w_main.as_nanos();
         ops.push(PlanOp {
             wall: w_main.as_nanos(),
@@ -921,7 +859,7 @@ fn compute_plan(stages: &[Stage], metas: &[ChunkMeta], now: SimTime) -> Option<P
                 return None;
             }
             let durs = stage.pipe.bulk_service(meta.cwire, meta.csegs);
-            let (st, en) = vreserve(&mut vcal[s], earliest.as_nanos(), durs.as_nanos().max(1));
+            let (st, en) = vcal[s].reserve(earliest.as_nanos(), durs.as_nanos().max(1));
             last_wall[s] = tw.as_nanos();
             ops.push(PlanOp {
                 wall: tw.as_nanos(),
@@ -952,43 +890,6 @@ fn compute_plan(stages: &[Stage], metas: &[ChunkMeta], now: SimTime) -> Option<P
         completion,
         coalesced,
     })
-}
-
-/// First-fit reserve on a sorted, disjoint virtual calendar, with the same
-/// touching-neighbour merge as the real one. Semantics mirror
-/// [`first_fit`] + [`insert_merged`] exactly, so virtual placement equals
-/// real placement.
-fn vreserve(cal: &mut Vec<(u64, u64)>, earliest: u64, dur: u64) -> (u64, u64) {
-    let mut t = earliest;
-    let mut i = cal.partition_point(|&(_, en)| en <= t);
-    while i < cal.len() {
-        let (st, en) = cal[i];
-        if t + dur <= st {
-            break;
-        }
-        t = t.max(en);
-        i += 1;
-    }
-    let (st_new, en_new) = (t, t + dur);
-    let idx = cal.partition_point(|&(st, _)| st <= st_new);
-    let merge_prev = idx > 0 && cal[idx - 1].1 == st_new;
-    let merge_next = idx < cal.len() && cal[idx].0 == en_new;
-    match (merge_prev, merge_next) {
-        (true, true) => {
-            cal[idx - 1].1 = cal[idx].1;
-            cal.remove(idx);
-        }
-        (true, false) => {
-            cal[idx - 1].1 = en_new;
-        }
-        (false, true) => {
-            cal[idx] = (st_new, cal[idx].1);
-        }
-        (false, false) => {
-            cal.insert(idx, (st_new, en_new));
-        }
-    }
-    (st_new, en_new)
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -1104,10 +1005,10 @@ impl Speculation {
         }
         let pipe = &self.stages[s].pipe;
         {
-            let mut iv = pipe.state.intervals.borrow_mut();
+            let mut cal = pipe.state.calendar.borrow_mut();
             for k in done..c {
                 let op = self.op(k, s);
-                insert_merged(&mut iv, op.start, op.end);
+                cal.insert_merged(op.start, op.end);
             }
         }
         for meta in &self.metas[done..c] {
@@ -1781,6 +1682,27 @@ mod tests {
             p.transfer(b(1000)).await;
         });
         assert!(sim.stats().calendar_peak_len >= 1);
+    }
+
+    #[test]
+    fn calendar_peak_len_ignores_pruned_prefix() {
+        let sim = Sim::new();
+        // 1 byte/ns: eight 10 ns reservations with 10 ns gaps never merge.
+        let pipe = Pipe::new(&sim, gbps(8), SimDuration::ZERO);
+        let p = pipe;
+        let s = sim.clone();
+        sim.block_on(async move {
+            for k in 0..8 {
+                p.reserve(SimTime::from_nanos(20 * k), b(10));
+            }
+            // Two intervals end by 35 ns; the next reserve prunes them, and
+            // the live count tops out at eight again, not ten.
+            s.sleep_until(SimTime::from_nanos(35)).await;
+            for k in 0..2 {
+                p.reserve(SimTime::from_nanos(1_000 + 20 * k), b(10));
+            }
+        });
+        assert_eq!(sim.stats().calendar_peak_len, 8);
     }
 
     #[test]

@@ -626,6 +626,8 @@ enum Command<M> {
 enum Up<M, R> {
     Round(RoundReport<M>),
     Final(Vec<ShardFinal<R>>),
+    /// The worker panicked; it re-raises the payload after sending this.
+    Died,
 }
 
 struct RoundReport<M> {
@@ -645,9 +647,29 @@ struct ShardFinal<R> {
     end: SimTime,
 }
 
+/// Worker thread entry: run [`serve_shards`], and if it panics tell the
+/// coordinator before unwinding. The panicking worker's dropped `up` sender
+/// does not disconnect the channel while other workers hold clones, so
+/// without [`Up::Died`] the coordinator would wait on `up_rx` forever.
+fn worker_main<M: Send + 'static, R: Send + 'static>(
+    owned: Vec<(ShardId, Setup<M, R>)>,
+    links: &Arc<LinkTable>,
+    salt: u64,
+    cmds: &mpsc::Receiver<Command<M>>,
+    up: &mpsc::Sender<Up<M, R>>,
+) {
+    let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        serve_shards(owned, links, salt, cmds, up);
+    }));
+    if let Err(payload) = served {
+        let _ = up.send(Up::Died);
+        std::panic::resume_unwind(payload);
+    }
+}
+
 /// Worker body: build the owned shards, then serve lookahead rounds until
 /// told to finish (or the coordinator hangs up).
-fn worker_main<M: Send + 'static, R: Send + 'static>(
+fn serve_shards<M: Send + 'static, R: Send + 'static>(
     owned: Vec<(ShardId, Setup<M, R>)>,
     links: &Arc<LinkTable>,
     salt: u64,
@@ -890,7 +912,7 @@ impl<M: Send + 'static, R: Send + 'static> Coordinator<'_, M, R> {
                         pending.extend(report.outgoing);
                     }
                     Ok(Up::Final(_)) => unreachable!("worker sent Final before Finish"),
-                    Err(mpsc::RecvError) => return Err(Aborted),
+                    Ok(Up::Died) | Err(mpsc::RecvError) => return Err(Aborted),
                 }
             }
         }
@@ -911,7 +933,7 @@ impl<M: Send + 'static, R: Send + 'static> Coordinator<'_, M, R> {
                     }
                 }
                 Ok(Up::Round(_)) => unreachable!("worker sent Round after Finish"),
-                Err(mpsc::RecvError) => return Err(Aborted),
+                Ok(Up::Died) | Err(mpsc::RecvError) => return Err(Aborted),
             }
         }
 
@@ -1137,13 +1159,32 @@ mod tests {
         assert_eq!(salts, vec![0x5EED, 0x5EED, 0x5EED]);
     }
 
+    /// Two shards on two workers, shard `bad` sending over an undeclared
+    /// link; the panic must reach the caller instead of hanging the
+    /// coordinator on the surviving worker's open channel.
+    fn run_with_unlinked_send(bad: ShardId) {
+        let mut ss: ShardedSim<(), ()> = ShardedSim::new();
+        for id in 0..2 {
+            ss.add_shard(move |ctx| async move {
+                if id == bad {
+                    ctx.send(1 - id, ());
+                }
+            });
+        }
+        ss.threads(2);
+        ss.run();
+    }
+
     #[test]
     #[should_panic(expected = "without a declared link")]
     fn send_without_link_panics() {
-        let mut ss: ShardedSim<(), ()> = ShardedSim::new();
-        ss.add_shard(|ctx| async move { ctx.send(1, ()) });
-        ss.add_shard(|_| async {});
-        ss.run();
+        run_with_unlinked_send(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "without a declared link")]
+    fn send_without_link_panics_on_second_worker() {
+        run_with_unlinked_send(1);
     }
 
     #[test]
