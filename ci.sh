@@ -124,6 +124,13 @@ echo "==> smoke: cargo bench -p bench --bench transfer_memo"
 BENCH_JSON="$PWD/results/ci/transfer_memo.json" \
     cargo bench -p bench --bench transfer_memo > /dev/null
 
+echo "==> smoke: cargo bench -p bench --bench sim_throughput"
+# Executor hot-path microbenchmarks (timer arm/fire, wake dispatch, spawn
+# churn, same-instant fan-out, lazy cancellation); the committed baseline
+# lives in results/sim_throughput.json.
+BENCH_JSON="$PWD/results/ci/sim_throughput.json" \
+    cargo bench -p bench --bench sim_throughput > /dev/null
+
 echo "==> selftest: engine events/sec + memo hit-rate artifact"
 # The steady-state phase of --selftest replays one transfer shape 2000
 # times, so the whole-transfer memo must be carrying it: memo_hits == 0

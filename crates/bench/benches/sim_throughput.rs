@@ -7,7 +7,8 @@
 //!
 //! ```text
 //! cargo bench -p bench --bench sim_throughput
-//! BENCH_JSON=results/sim_throughput.json cargo bench -p bench --bench sim_throughput
+//! BENCH_JSON=$PWD/results/sim_throughput.json \
+//!     cargo bench -p bench --bench sim_throughput
 //! ```
 //!
 //! Every benchmark drives a fixed event count per iteration, so ns/iter

@@ -15,21 +15,35 @@
 //! * tasks live in a **generational slab** (`Vec` + intrusive free list),
 //!   so a task lookup is an index, not a hash, and completed slots are
 //!   recycled with a bumped generation that invalidates stale wakes;
-//! * each task's [`Waker`] is created **once at spawn** and reused for
-//!   every poll (cloning a `Waker` is a refcount bump);
+//! * each task's [`Waker`] is created **once at spawn**; a poll moves a
+//!   second handle to it out of the slab and back, so polling touches no
+//!   refcount, and the copy left in the slab identifies the task;
 //! * each task carries a **`scheduled` flag**, so redundant wakes coalesce:
 //!   a task already in the ready queue is never pushed (or polled) twice;
+//!   popping an empty ready queue reads one atomic length and takes no
+//!   lock;
 //! * timer slots live in a second generational slab instead of per-sleep
 //!   `Rc<RefCell<_>>` allocations; a dropped [`Sleep`] cancels **lazily** —
-//!   the slot is reclaimed when its heap entry pops;
+//!   the slot is reclaimed when its heap entry pops. Heap entries are 24
+//!   bytes (`{at, ord, key}`); the arm sequence and arm instant live in
+//!   the slot;
+//! * timers are **task-addressed**: a [`Sleep`] polled by its own task with
+//!   that task's cached waker records the task id, not a waker clone, and
+//!   its fire is dispatched straight into the task's poll — no `Waker`
+//!   traffic, no ready-queue round trip. A sleep polled with any other
+//!   waker (by hand, or under a combinator's own waker) keeps a clone and
+//!   wakes it on fire;
 //! * timers fire **one at a time**: each pop consumes exactly one heap
-//!   entry and wakes its sleeper directly, and the ready queue is drained
-//!   to exhaustion before the next pop — so timers tied at one instant
-//!   still run in `(deadline, sequence)` order, each continuation
-//!   finishing before the next timer fires.
+//!   entry, and the ready queue is drained to exhaustion before the next
+//!   pop — so timers tied at one instant still run in `(deadline,
+//!   sequence)` order, each continuation finishing before the next timer
+//!   fires. Because the queue is empty at every pop, polling a
+//!   task-addressed sleeper at once is exactly where a push followed by
+//!   the next pop would have polled it.
 //!
 //! Event/poll/wake counters for all of the above are exposed through
-//! [`Sim::stats`].
+//! [`Sim::stats`]; a direct timer dispatch counts as one wake, exactly as
+//! the `Waker::wake` it replaces would have.
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -37,7 +51,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as MemOrder};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as MemOrder};
 // simlint: allow(cross-shard-state) -- ReadyQueue's mutex; see its doc comment
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
@@ -72,7 +86,12 @@ struct TimerKey {
 struct ReadyQueue {
     // simlint: allow(cross-shard-state) -- std::task requires Send+Sync wakers; never contended, never crosses shards
     queue: Mutex<VecDeque<TaskId>>,
-    /// Total `Waker::wake` calls observed.
+    /// Mirror of the queue's length, written under the lock, so that
+    /// popping an empty queue (the end of every drain) takes no lock. Its
+    /// Release stores pair with the Acquire load in `pop`.
+    len: AtomicUsize,
+    /// `Waker::wake` calls on task wakers (timer fires that bypass them
+    /// are counted in `Core::timer_wakes`).
     wakes: AtomicU64,
     /// Wakes dropped because the task was already scheduled.
     redundant_wakes: AtomicU64,
@@ -80,14 +99,19 @@ struct ReadyQueue {
 
 impl ReadyQueue {
     fn push(&self, id: TaskId) {
-        self.queue
-            .lock()
-            .expect("ready queue poisoned")
-            .push_back(id);
+        let mut queue = self.queue.lock().expect("ready queue poisoned");
+        queue.push_back(id);
+        self.len.store(queue.len(), MemOrder::Release);
     }
 
     fn pop(&self) -> Option<TaskId> {
-        self.queue.lock().expect("ready queue poisoned").pop_front()
+        if self.len.load(MemOrder::Acquire) == 0 {
+            return None;
+        }
+        let mut queue = self.queue.lock().expect("ready queue poisoned");
+        let id = queue.pop_front();
+        self.len.store(queue.len(), MemOrder::Release);
+        id
     }
 }
 
@@ -135,14 +159,18 @@ enum TaskState {
 }
 
 struct TaskEntry {
-    /// `None` while the future is checked out for polling.
-    fut: Option<LocalFuture>,
-    /// The task's reusable waker (cloning bumps a refcount — no allocation).
+    /// The future and the waker it is polled with; `None` while checked
+    /// out for polling. Moving the waker out and back touches no refcount.
+    run: Option<(LocalFuture, Waker)>,
+    /// The task's identity waker, which stays in the slab while the task
+    /// is polled: a [`Sleep`] whose context waker `will_wake` it is
+    /// addressed to this task (see [`Waiter::Task`]).
     waker: Waker,
     /// Same `Arc` that backs `waker`; gives the executor the scheduled flag.
     shared: Arc<TaskWaker>,
-    /// A ready-queue entry for this task was consumed while its future was
-    /// checked out (re-entrant `drive`); re-enqueue after the poll returns.
+    /// A wake for this task (a ready-queue entry or a timer dispatch) was
+    /// consumed while its future was checked out (re-entrant `drive`);
+    /// re-enqueue after the poll returns.
     repoll: bool,
 }
 
@@ -150,6 +178,14 @@ struct TaskEntry {
 /// `Pending → Cancelled → freed-at-pop` when the [`Sleep`] is dropped).
 struct TimerSlot {
     gen: u32,
+    /// Arm sequence number of the slot's timer; folded into the
+    /// event-ordering trace when its heap entry pops.
+    seq: u64,
+    /// Instant the timer was armed. Seqs are assigned in arm order, so at
+    /// equal deadlines an earlier-armed timer always fires first; the
+    /// pipeline fast path uses this to replay tie-breaks it never armed
+    /// real timers for (see `Sim::last_fired_timer`).
+    armed: SimTime,
     state: TimerState,
 }
 
@@ -157,9 +193,9 @@ enum TimerState {
     Vacant {
         next_free: Option<u32>,
     },
-    /// Armed; the waker is the owning task's (refcounted, not allocated).
+    /// Armed; fires into `waiter`.
     Pending {
-        waker: Option<Waker>,
+        waiter: Waiter,
     },
     /// The deadline was reached; the [`Sleep`] will observe and free it.
     Fired,
@@ -167,22 +203,47 @@ enum TimerState {
     Cancelled,
 }
 
-/// Heap entry: plain `Copy` data, no allocation, no shared ownership.
+/// Whom a pending timer wakes when it fires.
+enum Waiter {
+    /// The task that last polled the [`Sleep`] with its own cached waker.
+    /// The fire is dispatched straight into that task's poll.
+    Task(TaskId),
+    /// Any other waker (a sleep polled by hand, or under a combinator's own
+    /// waker): cloned when the sleep is polled, woken when it fires.
+    Foreign(Waker),
+}
+
+impl Waiter {
+    /// The waiter for a sleep polled with `waker`, where `task` is the
+    /// polling task if `waker` is that task's cached waker.
+    fn new(task: Option<TaskId>, waker: &Waker) -> Waiter {
+        match task {
+            Some(id) => Waiter::Task(id),
+            None => Waiter::Foreign(waker.clone()),
+        }
+    }
+}
+
+/// The task being polled, if `waker` is its cached waker.
+fn polled_task(tasks: &[TaskSlot], current: Option<TaskId>, waker: &Waker) -> Option<TaskId> {
+    let id = current?;
+    match &tasks[id.index as usize].state {
+        TaskState::Occupied(entry) if entry.waker.will_wake(waker) => Some(id),
+        _ => None,
+    }
+}
+
+/// Heap entry: 24 bytes of plain `Copy` data, no allocation, no shared
+/// ownership. The arm sequence and arm instant live in the slot.
 #[derive(Clone, Copy)]
 struct TimerEntry {
     at: SimTime,
-    seq: u64,
-    /// Tie-break rank among equal deadlines. Equal to `seq` in normal runs;
-    /// under a schedule-perturbation salt (see [`crate::perturb`]) it is an
-    /// injective scramble of `seq`, permuting same-instant firing order
-    /// while leaving deadline order untouched.
+    /// Tie-break rank among equal deadlines. Equal to the arm sequence in
+    /// normal runs; under a schedule-perturbation salt (see
+    /// [`crate::perturb`]) it is an injective scramble of it, permuting
+    /// same-instant firing order while leaving deadline order untouched.
     ord: u64,
     key: TimerKey,
-    /// Instant the timer was armed. Seqs are assigned in arm order, so at
-    /// equal deadlines an earlier-armed timer always fires first; the
-    /// pipeline fast path uses this to replay tie-breaks it never armed
-    /// real timers for (see `Sim::last_fired_timer`).
-    armed: SimTime,
 }
 
 impl PartialEq for TimerEntry {
@@ -213,7 +274,7 @@ enum TimerPop {
     /// Carries that entry's deadline — the shard's next-event report.
     AtHorizon(SimTime),
     /// One entry was consumed (fired, or a cancelled slot reclaimed).
-    Fired(Option<Waker>),
+    Fired(Option<Waiter>),
 }
 
 struct Core {
@@ -225,9 +286,20 @@ struct Core {
     task_free: Option<u32>,
     live_tasks: u64,
     next_timer_seq: u64,
+    /// The task whose poll is running (restored when a nested `drive`
+    /// returns), so a [`Sleep`] can tell whether it is polled by its own
+    /// task.
+    current: Option<TaskId>,
     // Counters surfaced through `Sim::stats`.
     spawns: u64,
     polls: u64,
+    /// Timer fires counted as wakes outside `TaskWaker`: every direct
+    /// dispatch into a task's poll (each stands for the `Waker::wake` it
+    /// replaces), and every fire into a foreign waker that does not count
+    /// itself.
+    timer_wakes: u64,
+    /// Direct dispatches that found the task already scheduled.
+    timer_redundant_wakes: u64,
     timer_events: u64,
     timers_set: u64,
     timers_cancelled: u64,
@@ -339,8 +411,11 @@ impl Sim {
                 task_free: None,
                 live_tasks: 0,
                 next_timer_seq: 0,
+                current: None,
                 spawns: 0,
                 polls: 0,
+                timer_wakes: 0,
+                timer_redundant_wakes: 0,
                 timer_events: 0,
                 timers_set: 0,
                 timers_cancelled: 0,
@@ -382,9 +457,10 @@ impl Sim {
             spawns: core.spawns,
             polls: core.polls,
             // simlint: allow(relaxed-atomics) -- stats snapshot of observational counter
-            wakes: self.ready.wakes.load(MemOrder::Relaxed),
+            wakes: self.ready.wakes.load(MemOrder::Relaxed) + core.timer_wakes,
             // simlint: allow(relaxed-atomics) -- stats snapshot of observational counter
-            redundant_wakes: self.ready.redundant_wakes.load(MemOrder::Relaxed),
+            redundant_wakes: self.ready.redundant_wakes.load(MemOrder::Relaxed)
+                + core.timer_redundant_wakes,
             timer_events: core.timer_events,
             timers_set: core.timers_set,
             timers_cancelled: core.timers_cancelled,
@@ -619,9 +695,10 @@ impl Sim {
                 scheduled: AtomicBool::new(true),
                 ready: Arc::clone(&self.ready),
             });
+            let waker = Waker::from(Arc::clone(&shared));
             slot.state = TaskState::Occupied(TaskEntry {
-                fut: Some(wrapped),
-                waker: Waker::from(Arc::clone(&shared)),
+                run: Some((wrapped, waker.clone())),
+                waker,
                 shared,
                 repoll: false,
             });
@@ -713,16 +790,12 @@ impl Sim {
     pub fn run_until_horizon(&self, bound: SimTime) -> Option<SimTime> {
         loop {
             while let Some(id) = self.ready.pop() {
-                self.poll_task(id);
+                self.poll_task(id, false);
             }
             match self.pop_due_timer(Some(bound)) {
                 TimerPop::Quiescent => return None,
                 TimerPop::AtHorizon(at) => return Some(at),
-                TimerPop::Fired(waker) => {
-                    if let Some(w) = waker {
-                        w.wake();
-                    }
-                }
+                TimerPop::Fired(waiter) => self.fire(waiter),
             }
         }
     }
@@ -734,7 +807,7 @@ impl Sim {
             // Drain the ready queue FIFO. Tasks woken while we drain are
             // appended and handled in the same batch.
             while let Some(id) = self.ready.pop() {
-                self.poll_task(id);
+                self.poll_task(id, false);
             }
             if done(self) {
                 return;
@@ -742,12 +815,30 @@ impl Sim {
             match self.pop_due_timer(None) {
                 TimerPop::Quiescent => return,
                 TimerPop::AtHorizon(_) => unreachable!("unbounded pop hit a horizon"),
-                TimerPop::Fired(waker) => {
-                    if let Some(w) = waker {
-                        w.wake();
-                    }
+                TimerPop::Fired(waiter) => self.fire(waiter),
+            }
+        }
+    }
+
+    /// Deliver a popped timer to its waiter. Both event loops drain the
+    /// ready queue before they pop a timer, so polling a [`Waiter::Task`]
+    /// here is exactly where a push followed by the next pop would have
+    /// polled it.
+    fn fire(&self, waiter: Option<Waiter>) {
+        match waiter {
+            Some(Waiter::Task(id)) => self.poll_task(id, true),
+            Some(Waiter::Foreign(w)) => {
+                // A task waker counts its own wake; a fire into any other
+                // waker is counted here, so every delivered fire is one.
+                // The counter is written only on this thread; Acquire (not
+                // Relaxed) just keeps these loads out of the lint's waivers.
+                let counted = self.ready.wakes.load(MemOrder::Acquire);
+                w.wake();
+                if self.ready.wakes.load(MemOrder::Acquire) == counted {
+                    self.core.borrow_mut().timer_wakes += 1;
                 }
             }
+            None => {}
         }
     }
 
@@ -777,8 +868,9 @@ impl Sim {
         }
         let free = core.timer_free;
         let slot = &mut core.timer_slots[idx];
+        let (seq, armed) = (slot.seq, slot.armed);
         match std::mem::replace(&mut slot.state, TimerState::Fired) {
-            TimerState::Pending { waker } => {
+            TimerState::Pending { waiter } => {
                 core.timer_events += 1;
                 // Event-ordering trace: digest `(deadline, seq)` in
                 // firing order, and count same-instant tie members —
@@ -789,9 +881,9 @@ impl Sim {
                     }
                 }
                 core.trace_digest =
-                    fnv1a_u64(fnv1a_u64(core.trace_digest, entry.at.as_nanos()), entry.seq);
-                core.last_fired = Some((entry.at, entry.armed));
-                TimerPop::Fired(waker)
+                    fnv1a_u64(fnv1a_u64(core.trace_digest, entry.at.as_nanos()), seq);
+                core.last_fired = Some((entry.at, armed));
+                TimerPop::Fired(Some(waiter))
             }
             TimerState::Cancelled => {
                 // Lazy cancellation: reclaim the slot now that its
@@ -811,11 +903,19 @@ impl Sim {
         }
     }
 
-    fn poll_task(&self, id: TaskId) {
+    /// Poll task `id`, either popped from the ready queue or, with `fired`,
+    /// dispatched directly by its timer. A direct dispatch is a wake: it is
+    /// counted and coalesced here exactly as `TaskWaker::wake_by_ref`
+    /// followed by a pop would have counted and coalesced it.
+    fn poll_task(&self, id: TaskId, fired: bool) {
         // Check the future out of the slab so the task body may re-borrow
         // the core (spawn, sleep, wake) without RefCell re-entrancy.
-        let (mut fut, waker) = {
-            let mut core = self.core.borrow_mut();
+        let (mut fut, waker, outer) = {
+            let mut guard = self.core.borrow_mut();
+            let core = &mut *guard;
+            if fired {
+                core.timer_wakes += 1;
+            }
             let Some(slot) = core.tasks.get_mut(id.index as usize) else {
                 return;
             };
@@ -825,21 +925,30 @@ impl Sim {
             let TaskState::Occupied(entry) = &mut slot.state else {
                 return;
             };
-            match entry.fut.take() {
-                Some(fut) => {
+            // The queue is empty at every timer pop, so a set flag here
+            // means the task is checked out with a wake already pending.
+            // This Acquire load pairs with the Release store below.
+            if fired && entry.shared.scheduled.load(MemOrder::Acquire) {
+                core.timer_redundant_wakes += 1;
+                return;
+            }
+            match entry.run.take() {
+                Some((fut, waker)) => {
                     // Clear the flag *before* polling: a wake that lands
                     // mid-poll must re-enqueue the task.
                     // simlint: allow(relaxed-atomics) -- wake-coalescing flag, single-threaded executor
                     entry.shared.scheduled.store(false, MemOrder::Relaxed);
-                    let waker = entry.waker.clone();
                     core.polls += 1;
-                    (fut, waker)
+                    (fut, waker, core.current.replace(id))
                 }
                 None => {
                     // Checked out by an outer poll (re-entrant drive). Mark
                     // for re-enqueue when that poll restores the future, so
-                    // the wake this queue entry represents is not lost.
+                    // the wake this entry represents is not lost. A queue
+                    // entry already set the flag; a direct dispatch sets it
+                    // here, as the push it replaces would have.
                     entry.repoll = true;
+                    entry.shared.scheduled.store(true, MemOrder::Release);
                     return;
                 }
             }
@@ -848,6 +957,7 @@ impl Sim {
         match fut.as_mut().poll(&mut cx) {
             Poll::Ready(()) => {
                 let mut core = self.core.borrow_mut();
+                core.current = outer;
                 core.live_tasks -= 1;
                 let free = core.task_free;
                 let slot = &mut core.tasks[id.index as usize];
@@ -857,10 +967,11 @@ impl Sim {
             }
             Poll::Pending => {
                 let mut core = self.core.borrow_mut();
+                core.current = outer;
                 let TaskState::Occupied(entry) = &mut core.tasks[id.index as usize].state else {
                     unreachable!("pending task's slot vanished during poll");
                 };
-                entry.fut = Some(fut);
+                entry.run = Some((fut, waker));
                 if entry.repoll {
                     entry.repoll = false;
                     // simlint: allow(relaxed-atomics) -- wake-coalescing flag, single-threaded executor
@@ -873,10 +984,13 @@ impl Sim {
     }
 
     /// Arm a timer at `(at, next seq)` backed by a pooled slot holding the
-    /// sleeper's waker. Returns the slot key for [`Sleep`] to poll/free.
-    fn register_timer(&self, at: SimTime, waker: Waker) -> TimerKey {
-        let mut core = self.core.borrow_mut();
+    /// sleeper's [`Waiter`]. Returns the slot key for [`Sleep`] to
+    /// poll/free.
+    fn register_timer(&self, at: SimTime, waker: &Waker) -> TimerKey {
+        let mut guard = self.core.borrow_mut();
+        let core = &mut *guard;
         core.timers_set += 1;
+        let waiter = Waiter::new(polled_task(&core.tasks, core.current, waker), waker);
         let index = match core.timer_free {
             Some(i) => {
                 let TimerState::Vacant { next_free } = core.timer_slots[i as usize].state else {
@@ -888,28 +1002,25 @@ impl Sim {
             None => {
                 core.timer_slots.push(TimerSlot {
                     gen: 0,
+                    seq: 0,
+                    armed: SimTime::ZERO,
                     state: TimerState::Vacant { next_free: None },
                 });
                 (core.timer_slots.len() - 1) as u32
             }
         };
+        let seq = core.next_timer_seq;
+        core.next_timer_seq += 1;
         let slot = &mut core.timer_slots[index as usize];
-        slot.state = TimerState::Pending { waker: Some(waker) };
+        slot.seq = seq;
+        slot.armed = core.now;
+        slot.state = TimerState::Pending { waiter };
         let key = TimerKey {
             index,
             gen: slot.gen,
         };
-        let seq = core.next_timer_seq;
-        core.next_timer_seq += 1;
         let ord = scramble_ord(seq, core.tie_salt);
-        let armed = core.now;
-        core.timers.push(TimerEntry {
-            at,
-            seq,
-            ord,
-            key,
-            armed,
-        });
+        core.timers.push(TimerEntry { at, ord, key });
         key
     }
 
@@ -939,17 +1050,21 @@ impl Future for Sleep {
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         if let Some(key) = self.key {
             let fired = {
-                let mut core = self.sim.core.borrow_mut();
+                let mut guard = self.sim.core.borrow_mut();
+                let core = &mut *guard;
                 let slot = &mut core.timer_slots[key.index as usize];
                 debug_assert_eq!(slot.gen, key.gen, "sleep outlived its timer slot");
                 match &mut slot.state {
                     TimerState::Fired => true,
-                    TimerState::Pending { waker } => {
-                        // Re-registration only matters when a combinator
-                        // polls with a different task's waker; the common
-                        // same-task re-poll skips the clone.
-                        if !waker.as_ref().is_some_and(|w| w.will_wake(cx.waker())) {
-                            *waker = Some(cx.waker().clone());
+                    TimerState::Pending { waiter } => {
+                        // Re-registration only matters when the sleep is
+                        // re-polled by another task or under another
+                        // waker; the common same-task re-poll keeps it.
+                        let waker = cx.waker();
+                        match (polled_task(&core.tasks, core.current, waker), &*waiter) {
+                            (Some(task), Waiter::Task(id)) if task == *id => {}
+                            (None, Waiter::Foreign(w)) if w.will_wake(waker) => {}
+                            (task, _) => *waiter = Waiter::new(task, waker),
                         }
                         false
                     }
@@ -966,7 +1081,7 @@ impl Future for Sleep {
         if self.sim.now() >= self.at {
             return Poll::Ready(());
         }
-        let key = self.sim.register_timer(self.at, cx.waker().clone());
+        let key = self.sim.register_timer(self.at, cx.waker());
         self.key = Some(key);
         Poll::Pending
     }
@@ -989,7 +1104,7 @@ impl Drop for Sleep {
                 core.timer_free = Some(key.index);
             }
             TimerState::Pending { .. } => {
-                // Lazy cancel: drop the waker now, let the heap entry
+                // Lazy cancel: drop the waiter now, let the heap entry
                 // reclaim the slot when it pops.
                 slot.state = TimerState::Cancelled;
                 core.timers_cancelled += 1;
@@ -1371,5 +1486,226 @@ mod tests {
         assert_eq!(st.polls, 2);
         assert_eq!(st.tasks_live, 0);
         assert_eq!(st.timers_pending, 0);
+    }
+
+    #[test]
+    fn timer_heap_entries_are_24_bytes() {
+        assert_eq!(std::mem::size_of::<TimerEntry>(), 24);
+    }
+
+    /// A `Wake` impl that only counts its wakes.
+    #[derive(Default)]
+    struct CountingWake(AtomicU64);
+
+    impl Wake for CountingWake {
+        fn wake(self: Arc<Self>) {
+            self.wake_by_ref();
+        }
+
+        fn wake_by_ref(self: &Arc<Self>) {
+            self.0.fetch_add(1, MemOrder::SeqCst);
+        }
+    }
+
+    #[test]
+    fn sleep_polled_outside_any_task_wakes_its_waker_once() {
+        let sim = Sim::new();
+        let count = Arc::new(CountingWake::default());
+        let waker = Waker::from(Arc::clone(&count));
+        let mut cx = Context::from_waker(&waker);
+        let mut sleep = sim.sleep(SimDuration::from_nanos(10));
+        assert!(Pin::new(&mut sleep).poll(&mut cx).is_pending());
+        // A re-poll under the same waker keeps the one registration.
+        assert!(Pin::new(&mut sleep).poll(&mut cx).is_pending());
+        assert_eq!(sim.run_until_quiescent().as_nanos(), 10);
+        assert_eq!(count.0.load(MemOrder::SeqCst), 1);
+        let st = sim.stats();
+        assert_eq!((st.wakes, st.redundant_wakes, st.polls), (1, 0, 0));
+        assert_eq!(st.timer_events, 1);
+        assert!(Pin::new(&mut sleep).poll(&mut cx).is_ready());
+    }
+
+    /// Counts the polls of the future it wraps.
+    struct CountPolls<F> {
+        fut: Pin<Box<F>>,
+        polls: Rc<Cell<u32>>,
+    }
+
+    impl<F: Future> Future for CountPolls<F> {
+        type Output = F::Output;
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<F::Output> {
+            self.polls.set(self.polls.get() + 1);
+            self.fut.as_mut().poll(cx)
+        }
+    }
+
+    #[test]
+    fn sleep_moved_to_another_task_wakes_that_task() {
+        let sim = Sim::new();
+        let stash = Rc::new(RefCell::new(None::<Sleep>));
+        let a_polls = Rc::new(Cell::new(0u32));
+        // Task A arms a 10 ns sleep, hands it over, then parks for 1 µs.
+        let (s, st) = (sim.clone(), Rc::clone(&stash));
+        sim.spawn(CountPolls {
+            fut: Box::pin(async move {
+                let mut sleep = s.sleep(SimDuration::from_nanos(10));
+                std::future::poll_fn(|cx| {
+                    assert!(Pin::new(&mut sleep).poll(cx).is_pending());
+                    Poll::Ready(())
+                })
+                .await;
+                *st.borrow_mut() = Some(sleep);
+                s.sleep(SimDuration::from_micros(1)).await;
+            }),
+            polls: Rc::clone(&a_polls),
+        });
+        // Task B re-polls the moved sleep under its own waker.
+        let woke = Rc::new(Cell::new(None::<(u64, u32)>));
+        let (s, st, w, ap) = (
+            sim.clone(),
+            Rc::clone(&stash),
+            Rc::clone(&woke),
+            Rc::clone(&a_polls),
+        );
+        sim.spawn(async move {
+            let sleep = st.borrow_mut().take().expect("task A ran first");
+            sleep.await;
+            w.set(Some((s.now().as_nanos(), ap.get())));
+        });
+        assert_eq!(sim.run_until_quiescent().as_nanos(), 1_000);
+        assert_eq!(
+            woke.get(),
+            Some((10, 1)),
+            "B must wake at 10 ns, with A still parked after its one poll"
+        );
+        assert_eq!(a_polls.get(), 2, "A is polled again only by its own timer");
+    }
+
+    #[test]
+    fn wake_consumed_during_nested_block_on_repolls_the_task() {
+        // The 10 ns timer fires inside the nested drive while this task's
+        // future is checked out; the task's poll then parks on the 80 ns
+        // sleep only. The consumed wake must still re-poll it at 20 ns.
+        let sim = Sim::new();
+        let seen = Rc::new(Cell::new(None::<u64>));
+        let (s, seen2) = (sim.clone(), Rc::clone(&seen));
+        sim.spawn(async move {
+            let mut first = s.sleep(SimDuration::from_nanos(10));
+            let mut long = s.sleep(SimDuration::from_nanos(80));
+            let mut nested = false;
+            std::future::poll_fn(|cx| {
+                if !nested {
+                    nested = true;
+                    assert!(Pin::new(&mut first).poll(cx).is_pending());
+                    let inner = s.clone();
+                    s.block_on(async move { inner.sleep(SimDuration::from_nanos(20)).await });
+                    return Pin::new(&mut long).poll(cx);
+                }
+                if Pin::new(&mut first).poll(cx).is_ready() {
+                    seen2.set(Some(s.now().as_nanos()));
+                    return Poll::Ready(());
+                }
+                Pin::new(&mut long).poll(cx)
+            })
+            .await;
+        });
+        sim.run_until_quiescent();
+        assert_eq!(seen.get(), Some(20));
+    }
+
+    #[test]
+    fn timer_fires_into_a_checked_out_task_coalesce() {
+        // Both of the task's timers fire inside the nested drive while its
+        // future is checked out: the first marks it for a re-poll, the
+        // second finds it already scheduled and counts as redundant.
+        let sim = Sim::new();
+        let s = sim.clone();
+        sim.spawn(async move {
+            let mut a = s.sleep(SimDuration::from_nanos(10));
+            let mut b = s.sleep(SimDuration::from_nanos(15));
+            std::future::poll_fn(|cx| {
+                assert!(Pin::new(&mut a).poll(cx).is_pending());
+                assert!(Pin::new(&mut b).poll(cx).is_pending());
+                let inner = s.clone();
+                s.block_on(async move { inner.sleep(SimDuration::from_nanos(20)).await });
+                Poll::Ready(())
+            })
+            .await;
+            a.await;
+            b.await;
+        });
+        assert_eq!(sim.run_until_quiescent().as_nanos(), 20);
+        let st = sim.stats();
+        assert_eq!((st.wakes, st.redundant_wakes, st.polls), (3, 1, 3));
+        assert_eq!(st.tasks_live, 0);
+    }
+
+    #[test]
+    fn mixed_run_stats_are_pinned() {
+        // Timers, a Notify ping-pong, spawns, self-wakes that coalesce and
+        // select2 cancellations in one run. The counts were recorded with
+        // the waker-only timer path; any counting drift fails here.
+        let sim = Sim::new();
+        let ping = crate::sync::Notify::new();
+        let pong = crate::sync::Notify::new();
+        let (ping2, pong2) = (ping.clone(), pong.clone());
+        let s = sim.clone();
+        sim.spawn(async move {
+            for _ in 0..8 {
+                ping2.notified().await;
+                s.sleep(SimDuration::from_nanos(3)).await;
+                pong2.notify_one();
+            }
+        });
+        for i in 0..4u64 {
+            let s = sim.clone();
+            sim.spawn(async move {
+                s.sleep(SimDuration::from_nanos(5 * i + 1)).await;
+                // Wake itself twice in one poll: the second wake coalesces.
+                let mut parked = false;
+                std::future::poll_fn(|cx| {
+                    if parked {
+                        return Poll::Ready(());
+                    }
+                    parked = true;
+                    cx.waker().wake_by_ref();
+                    cx.waker().wake_by_ref();
+                    Poll::Pending
+                })
+                .await;
+                s.sleep(SimDuration::from_nanos(5)).await;
+            });
+        }
+        let s = sim.clone();
+        sim.block_on(async move {
+            for round in 0..8u64 {
+                ping.notify_one();
+                // The pong lands at +3 ns, so the long sleep is cancelled.
+                let won = crate::sync::select2(
+                    pong.notified(),
+                    s.sleep(SimDuration::from_nanos(50 + round)),
+                )
+                .await;
+                assert!(matches!(won, crate::sync::Either::Left(())));
+                let c = s.clone();
+                s.spawn(async move {
+                    c.sleep(SimDuration::from_nanos(2)).await;
+                })
+                .await;
+            }
+        });
+        sim.run_until_quiescent();
+        let st = sim.stats();
+        assert_eq!(
+            (
+                st.polls,
+                st.wakes,
+                st.redundant_wakes,
+                st.timer_events,
+                st.spawns
+            ),
+            (66, 56, 4, 24, 14)
+        );
+        assert_eq!((st.timers_set, st.timers_cancelled), (32, 8));
     }
 }

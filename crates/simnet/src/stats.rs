@@ -14,9 +14,13 @@ pub struct SimStats {
     pub spawns: u64,
     /// Task polls executed (each is one scheduling event).
     pub polls: u64,
-    /// `Waker::wake` calls observed.
+    /// Wakes delivered: `Waker::wake` calls on task wakers, plus timer
+    /// fires the executor dispatches straight into the sleeping task's poll
+    /// (each counts as the wake it replaces) or delivers to a waker that is
+    /// not a task waker. Every fired timer with a live sleeper is one wake.
     pub wakes: u64,
-    /// Wakes coalesced away because the task was already scheduled.
+    /// Wakes coalesced away because the task was already scheduled,
+    /// whether they arrived through a `Waker` or a direct timer dispatch.
     pub redundant_wakes: u64,
     /// Timers that reached their deadline and fired.
     pub timer_events: u64,

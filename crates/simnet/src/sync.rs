@@ -244,6 +244,11 @@ struct SemState {
 
 /// A counting semaphore with FIFO wake-up, used to model finite resources
 /// (completion-queue credit, send-window slots, NIC work-queue depth).
+///
+/// **Known defect:** [`Acquire`] registers a waker on every permit-less
+/// poll and never removes one, so a waiter re-polled by a join combinator
+/// leaves stale registrations behind, and [`Semaphore::release`] may spend
+/// its wake on one of them. See [`Notify`], where this causes a deadlock.
 #[derive(Clone)]
 pub struct Semaphore {
     state: Rc<RefCell<SemState>>,
@@ -315,6 +320,18 @@ struct NotifyState {
 
 /// Edge-triggered notification cell: `notify_one` stores at most one permit;
 /// `notified().await` consumes it or waits.
+///
+/// **Known defect:** [`Notified`] pushes a waker on every permit-less poll
+/// and never removes one. A task whose `notified()` is re-polled by a
+/// `join2` leaves duplicate registrations, and they outlive the task. When
+/// a later `block_on` drives the same cell, [`Notify::notify_one`] can pop
+/// a stale entry of a finished task and wake nobody while the live waiter
+/// stays asleep. This is the split-`block_on` deadlock over an iWARP or IB
+/// `netbench::userlevel::UserPair` that perfbench pins with
+/// `known_defect_split_block_on_panics`; skipping a registration whose
+/// waker `will_wake` the polling one makes that test stop panicking. The
+/// fix can change wake order, so it must land together with new perfbench
+/// baselines.
 #[derive(Clone)]
 pub struct Notify {
     state: Rc<RefCell<NotifyState>>,

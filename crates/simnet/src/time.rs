@@ -162,9 +162,11 @@ impl SimDuration {
     /// The time to serialize `bytes` at `rate`, rounded up.
     ///
     /// This is the fundamental bandwidth→time conversion used by every
-    /// [`crate::pipe::Pipe`]; `Bytes / ByteRate` delegates here. Computed
-    /// in `u128` so that multi-gigabyte transfers at multi-GB/s rates
-    /// cannot overflow; the result saturates at `u64::MAX` ns.
+    /// [`crate::pipe::Pipe`]; `Bytes / ByteRate` delegates here. Divides
+    /// in `u64` whenever `bytes * 1e9` fits (any transfer under about
+    /// 18.4 GB), and in `u128` otherwise, so that larger transfers cannot
+    /// overflow; both give the same integer, and the result saturates at
+    /// `u64::MAX` ns.
     ///
     /// # Contract
     ///
@@ -179,10 +181,21 @@ impl SimDuration {
             !rate.is_zero(),
             "SimDuration::serialize over a zero-bandwidth rate never completes"
         );
-        let ns =
-            (bytes.get() as u128 * 1_000_000_000u128).div_ceil(rate.as_bytes_per_sec() as u128);
-        SimDuration(ns.min(u64::MAX as u128) as u64)
+        // The `u64` divide is a hardware instruction; the `u128` one is a
+        // software routine, and this runs on every pipe service time.
+        if let Some(scaled) = bytes.get().checked_mul(1_000_000_000) {
+            return SimDuration(scaled.div_ceil(rate.as_bytes_per_sec()));
+        }
+        SimDuration(serialize_wide(bytes, rate))
     }
+}
+
+/// `ceil(bytes * 1e9 / rate)` in `u128`, saturated to `u64::MAX`: the
+/// overflow-proof form of [`SimDuration::serialize`].
+#[inline]
+fn serialize_wide(bytes: Bytes, rate: ByteRate) -> u64 {
+    let ns = (bytes.get() as u128 * 1_000_000_000u128).div_ceil(rate.as_bytes_per_sec() as u128);
+    ns.min(u64::MAX as u128) as u64
 }
 
 impl Add<SimDuration> for SimTime {
@@ -374,6 +387,37 @@ mod tests {
         // Large transfer does not overflow: 16 GiB at 1 GB/s ≈ 17.18 s.
         let d = SimDuration::serialize(Bytes::new(16 << 30), ByteRate::from_gbps(8));
         assert!(d.as_secs_f64() > 17.0 && d.as_secs_f64() < 17.3);
+    }
+
+    #[test]
+    fn serialize_fast_path_matches_u128_form() {
+        let check = |bytes: u64, rate: u64| {
+            let (b, r) = (Bytes::new(bytes), ByteRate::from_bytes_per_sec(rate));
+            assert_eq!(
+                SimDuration::serialize(b, r).as_nanos(),
+                serialize_wide(b, r),
+                "bytes={bytes} rate={rate}"
+            );
+        };
+        // Seeded random pairs over the whole range: small and huge byte
+        // counts (both paths), slow and fast rates.
+        let mut state = 0x5EED_u64;
+        for _ in 0..100_000 {
+            state = crate::fault::splitmix64(state);
+            let bytes = state >> (state % 64);
+            state = crate::fault::splitmix64(state);
+            let rate = (state >> (state % 64)).max(1);
+            check(bytes, rate);
+        }
+        // Both sides of the `bytes * 1e9` overflow boundary.
+        let edge = u64::MAX / 1_000_000_000;
+        for bytes in [edge - 1, edge, edge + 1, edge + 2, u64::MAX] {
+            for rate in [1, 3, 1_250_000_000, 999_999_999_999, u64::MAX] {
+                check(bytes, rate);
+            }
+        }
+        assert!(edge.checked_mul(1_000_000_000).is_some());
+        assert!((edge + 1).checked_mul(1_000_000_000).is_none());
     }
 
     #[test]
